@@ -47,15 +47,16 @@
 //!   enforced cap, a bounded channel) or carries a
 //!   `lint:allow(bounded-queue)` waiver stating what bounds it.
 //! * **hot-path-alloc** — in the serving read-path files (client, server,
-//!   single-flight, the value/cache/index/object stores, the wire codec),
-//!   no copying constructors on value bytes: `.to_vec()`, `Vec::from(`,
-//!   and path-qualified `::copy_from_slice(` are banned. The zero-copy
+//!   single-flight, the value/cache/index/object stores, the wire codec,
+//!   framing and TCP transport), no copying constructors on value bytes:
+//!   `.to_vec()`, `Vec::from(`, `Arc::from(` and path-qualified
+//!   `::copy_from_slice(` are banned. The zero-copy
 //!   data plane hands `ValueBuf` windows (refcount bumps) between tiers;
 //!   one stray `.to_vec()` on the reply path silently reintroduces a
 //!   per-read allocation that no test catches but every benchmark pays
 //!   for. A deliberate copy (the `ValueBuf::to_vec` escape hatch itself,
-//!   `detach`'s right-sizing copy, a conversion at a boundary that must
-//!   own its bytes) carries a `lint:allow(hot-path-alloc)` waiver naming
+//!   `detach`'s right-sizing copy, the empty `ValueBuf::new`, a
+//!   conversion at a boundary that must own its bytes) carries a `lint:allow(hot-path-alloc)` waiver naming
 //!   why the copy is required.
 //!
 //! There is no `syn` in this build environment, so the scanner is a
@@ -256,13 +257,21 @@ const HOT_PATH_ALLOC_SCOPE: &[&str] = &[
     "crates/storage/src/object.rs",
     "crates/wire/src/codec.rs",
     "crates/wire/src/frame.rs",
+    "crates/wire/src/tcp.rs",
 ];
 
 /// Copying constructors the `hot-path-alloc` rule bans inside
 /// [`HOT_PATH_ALLOC_SCOPE`]. `::copy_from_slice(` is matched
 /// path-qualified so the method *definition* in `value.rs` does not
-/// trip its own rule.
-const HOT_PATH_ALLOC_CALLS: &[&str] = &[".to_vec()", "Vec::from(", "::copy_from_slice("];
+/// trip its own rule. `Arc::from(` over a slice or `Vec` allocates and
+/// copies; it is how a frame body or a decoded window used to be
+/// copied into a fresh `Arc` on every TCP read.
+const HOT_PATH_ALLOC_CALLS: &[&str] = &[
+    ".to_vec()",
+    "Vec::from(",
+    "Arc::from(",
+    "::copy_from_slice(",
+];
 
 /// True when `label` is one of the hot-path files.
 fn hot_path_alloc_scoped(label: &Path) -> bool {
@@ -1126,6 +1135,30 @@ mod tests {
         let test_gated =
             "#[cfg(test)]\nmod tests {\n    fn f(b: &[u8]) { let v = b.to_vec(); }\n}\n";
         assert!(lint_source(Path::new("crates/core/src/client.rs"), test_gated).is_empty());
+    }
+
+    #[test]
+    fn hot_path_alloc_flags_arc_from_copies() {
+        // Copying a frame body or a decoded window into a fresh Arc.
+        for call in ["Arc::from(body)", "Arc::from(self.as_slice())"] {
+            let src = format!("fn f() {{ let a: Arc<[u8]> = {call}; }}\n");
+            for scoped in ["crates/wire/src/frame.rs", "crates/storage/src/value.rs"] {
+                let f = lint_source(Path::new(scoped), &src);
+                assert_eq!(rules(&f), vec!["hot-path-alloc"], "{call} in {scoped}");
+            }
+            // Outside the serving path an Arc::from is fine.
+            assert!(lint_source(Path::new("crates/storage/src/pfs.rs"), &src).is_empty());
+        }
+        let waived = "// lint:allow(hot-path-alloc): the empty value; no bytes to copy\nfn f() { let a: Arc<[u8]> = Arc::from(&[][..]); }\n";
+        assert!(lint_source(Path::new("crates/storage/src/value.rs"), waived).is_empty());
+    }
+
+    #[test]
+    fn hot_path_alloc_covers_the_tcp_transport() {
+        // The reply and request writers in tcp.rs sit on every TCP read.
+        let src = "fn reply(w: &ConnWriter, v: &[u8]) { w.write(&v.to_vec()); }\n";
+        let f = lint_source(Path::new("crates/wire/src/tcp.rs"), src);
+        assert_eq!(rules(&f), vec!["hot-path-alloc"]);
     }
 
     #[test]

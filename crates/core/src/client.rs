@@ -830,9 +830,11 @@ impl HvacClient {
                             ReadVia::ServerPfsFetch(served_by)
                         }
                     };
-                    // `into_bytes` reuses the decoded window's allocation
-                    // when it spans the whole buffer; a window into a
-                    // larger frame detaches here so the frame can drop.
+                    // `into_bytes` keeps the decoded window: over TCP the
+                    // reader gets the value inside the frame's own
+                    // allocation (value plus ~40 header bytes). This hop
+                    // used to copy the window out, the third of three
+                    // user-space copies per TCP read; there are none now.
                     return Ok(ReadOutcome {
                         bytes: bytes.into_bytes(),
                         via,

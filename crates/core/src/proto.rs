@@ -7,7 +7,9 @@
 
 use ftc_net::Payload;
 use ftc_storage::ValueBuf;
-use ftc_wire::codec::{put_bytes, put_str, put_u32, ByteView, CodecError, Reader, Wire};
+use ftc_wire::codec::{
+    encode_spliced, put_bulk_len, put_str, put_u32, ByteView, CodecError, Reader, Wire,
+};
 use serde::{Deserialize, Serialize};
 
 /// Where the server found the bytes it served.
@@ -132,6 +134,9 @@ impl Payload for CacheResponse {
 // TCP codec (ftc-wire). One tag byte per variant, then the fields in
 // declaration order. The tag spaces of request and response are
 // independent — the frame layer already says which side a body is.
+// Each message's encoding is written once, in `encode_gather`, which
+// leaves a value's bytes out so the TCP writer sends them from the
+// value's own allocation; `encode` splices them back in.
 // ---------------------------------------------------------------------------
 
 /// A decoded wire span as a [`ValueBuf`]: when the frame body was read
@@ -164,6 +169,10 @@ impl ServeSource {
 
 impl Wire for CacheRequest {
     fn encode(&self, out: &mut Vec<u8>) {
+        encode_spliced(self, out);
+    }
+
+    fn encode_gather(&self, out: &mut Vec<u8>) -> Option<(usize, &[u8])> {
         match self {
             CacheRequest::Read { path } => {
                 out.push(1);
@@ -173,7 +182,7 @@ impl Wire for CacheRequest {
             CacheRequest::Put { path, bytes } => {
                 out.push(3);
                 put_str(out, path);
-                put_bytes(out, bytes);
+                return Some((put_bulk_len(out, bytes), bytes));
             }
             CacheRequest::Digest => out.push(4),
             CacheRequest::Evict { path } => {
@@ -181,6 +190,7 @@ impl Wire for CacheRequest {
                 put_str(out, path);
             }
         }
+        None
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -207,6 +217,10 @@ impl Wire for CacheRequest {
 
 impl Wire for CacheResponse {
     fn encode(&self, out: &mut Vec<u8>) {
+        encode_spliced(self, out);
+    }
+
+    fn encode_gather(&self, out: &mut Vec<u8>) -> Option<(usize, &[u8])> {
         match self {
             CacheResponse::Data {
                 path,
@@ -215,8 +229,9 @@ impl Wire for CacheResponse {
             } => {
                 out.push(1);
                 put_str(out, path);
-                put_bytes(out, bytes);
+                let at = put_bulk_len(out, bytes);
                 out.push(source.tag());
+                return Some((at, bytes));
             }
             CacheResponse::NotFound { path } => {
                 out.push(2);
@@ -241,6 +256,7 @@ impl Wire for CacheResponse {
             }
             CacheResponse::Overloaded => out.push(7),
         }
+        None
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {

@@ -17,13 +17,72 @@
 //! full path a socket sees. The malformed-frame corpus (truncated length
 //! prefix, oversized declared length, bad magic/version byte) lives next
 //! to the frame code in `ftc-wire`.
+//!
+//! The TCP writer sends a value without copying it: `encode_gather`
+//! encodes the small fields and says where the value goes, and
+//! `write_msg_frame` writes the pieces in one gathered write. Two more
+//! properties hold that path to the contiguous encoding, byte for byte
+//! (also under short writes), and pinned encodings hold the format
+//! itself to wire version 1.
 
 use ftc_core::{CacheRequest, CacheResponse, ServeSource};
 use ftc_storage::ValueBuf;
 use ftc_wire::codec::Wire;
-use ftc_wire::frame::{read_frame, write_frame, FrameKind};
+use ftc_wire::frame::{read_frame, write_frame, write_msg_frame, FrameKind};
 use ftc_wire::DEFAULT_MAX_FRAME;
 use proptest::prelude::*;
+use std::io::{self, Write};
+
+/// The gathered form of `m` laid out flat: `head[..at] ++ bulk ++
+/// head[at..]`.
+fn gathered<M: Wire>(m: &M) -> Vec<u8> {
+    let mut head = Vec::new();
+    match m.encode_gather(&mut head) {
+        Some((at, bulk)) => [&head[..at], bulk, &head[at..]].concat(),
+        None => head,
+    }
+}
+
+/// A socket that takes 1–7 bytes per call, cycling through `sizes`, and
+/// reports a short write like a congested stream does.
+struct Trickle<'a> {
+    out: Vec<u8>,
+    sizes: &'a [u8],
+    calls: usize,
+}
+
+impl Write for Trickle<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = match self.sizes {
+            [] => 1,
+            s => 1 + usize::from(s[self.calls % s.len()] % 7),
+        };
+        self.calls += 1;
+        let n = n.min(buf.len());
+        self.out.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `m` written by the gathered writer through a [`Trickle`], and by
+/// `write_frame` over its contiguous encoding.
+fn both_frames<M: Wire>(m: &M, kind: FrameKind, id: u64, sizes: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    let mut trickle = Trickle {
+        out: Vec::new(),
+        sizes,
+        calls: 0,
+    };
+    let mut scratch = vec![0xEE; 3]; // stale contents must not leak
+    write_msg_frame(&mut trickle, kind, id, m, &mut scratch, DEFAULT_MAX_FRAME)
+        .expect("gathered frame fits");
+    let mut plain = Vec::new();
+    write_frame(&mut plain, kind, id, &m.encode_vec(), DEFAULT_MAX_FRAME).expect("frame fits");
+    (trickle.out, plain)
+}
 
 /// Build a `CacheRequest` from flattened draws (the shim has no enum
 /// strategy; a selector byte picks the variant).
@@ -154,4 +213,75 @@ proptest! {
         prop_assert_eq!(frame.id, id);
         prop_assert_eq!(CacheRequest::decode_all(&frame.body).expect("body"), m);
     }
+
+    /// Every message's gathered form, laid flat, is its contiguous
+    /// encoding; only the value-carrying variants leave a bulk field out.
+    #[test]
+    fn gathered_encoding_equals_contiguous(
+        sel in any::<u8>(),
+        path in "[a-zA-Z0-9/_.-]{0,80}",
+        payload in prop::collection::vec(any::<u8>(), 0..512),
+        keys in prop::collection::vec("[a-z0-9/]{0,24}", 0..12),
+        flag in any::<bool>(),
+    ) {
+        let req = req_from(sel, path.clone(), payload.clone());
+        prop_assert_eq!(gathered(&req), req.encode_vec());
+        let bulk = req.encode_gather(&mut Vec::new()).map(|(_, b)| b.len());
+        let put = matches!(req, CacheRequest::Put { .. });
+        prop_assert_eq!(bulk, put.then_some(payload.len()));
+
+        let resp = resp_from(sel, path, payload.clone(), keys, flag);
+        prop_assert_eq!(gathered(&resp), resp.encode_vec());
+        let bulk = resp.encode_gather(&mut Vec::new()).map(|(_, b)| b.len());
+        let data = matches!(resp, CacheResponse::Data { .. });
+        prop_assert_eq!(bulk, data.then_some(payload.len()));
+    }
+
+    /// A frame from the gathered writer is byte-identical to
+    /// `write_frame` over `encode_vec()`, even when the socket takes a
+    /// few bytes per call and every write lands mid-piece.
+    #[test]
+    fn gathered_frames_match_write_frame_under_short_writes(
+        sel in any::<u8>(),
+        path in "[a-zA-Z0-9/_.-]{0,80}",
+        payload in prop::collection::vec(any::<u8>(), 0..512),
+        keys in prop::collection::vec("[a-z0-9/]{0,24}", 0..12),
+        flag in any::<bool>(),
+        id in any::<u64>(),
+        sizes in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let req = req_from(sel, path.clone(), payload.clone());
+        let (gathered, plain) = both_frames(&req, FrameKind::Request, id, &sizes);
+        prop_assert_eq!(gathered, plain);
+
+        let resp = resp_from(sel, path, payload, keys, flag);
+        let (gathered, plain) = both_frames(&resp, FrameKind::Response, id, &sizes);
+        prop_assert_eq!(gathered, plain);
+    }
+}
+
+/// Wire version 1, byte for byte: the value-carrying messages encode as
+/// they always have, whichever writer sends them.
+#[test]
+fn value_carrying_encodings_are_pinned() {
+    let data = CacheResponse::Data {
+        path: "d/1".into(),
+        bytes: ValueBuf::from(vec![0xAA, 0xBB]),
+        source: ServeSource::PfsFetch,
+    };
+    let want: &[u8] = &[1, 0, 0, 0, 3, b'd', b'/', b'1', 0, 0, 0, 2, 0xAA, 0xBB, 2];
+    assert_eq!(data.encode_vec(), want);
+
+    let put = CacheRequest::Put {
+        path: "p".into(),
+        bytes: ValueBuf::from(vec![7, 8, 9]),
+    };
+    let want: &[u8] = &[3, 0, 0, 0, 1, b'p', 0, 0, 0, 3, 7, 8, 9];
+    assert_eq!(put.encode_vec(), want);
+
+    let (frame, plain) = both_frames(&data, FrameKind::Response, 0x0102, &[6]);
+    assert_eq!(frame, plain);
+    let mut want_frame = vec![0, 0, 0, 24, 2, 0, 0, 0, 0, 0, 0, 1, 2];
+    want_frame.extend_from_slice(&data.encode_vec());
+    assert_eq!(frame, want_frame);
 }

@@ -81,6 +81,8 @@ impl ByteView {
     /// reader has no shared backing).
     pub fn copied(bytes: &[u8]) -> Self {
         ByteView {
+            // lint:allow(hot-path-alloc): a reader over a borrowed body
+            // has no Arc to share; the TCP paths decode shared bodies.
             data: Arc::from(bytes),
             off: 0,
             len: bytes.len(),
@@ -234,9 +236,28 @@ pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
+/// Append only the length prefix of a byte array that is sent gathered
+/// (see [`Wire::encode_gather`]); returns the offset in `out` where the
+/// array's bytes belong.
+pub fn put_bulk_len(out: &mut Vec<u8>, b: &[u8]) -> usize {
+    put_u32(out, b.len() as u32);
+    out.len()
+}
+
 /// Append a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
+}
+
+/// [`Wire::encode`] for a message whose encoding lives in
+/// [`Wire::encode_gather`]: the bulk field is spliced back in at its
+/// offset, so both forms come from one match and cannot drift apart.
+pub fn encode_spliced<M: Wire>(msg: &M, out: &mut Vec<u8>) {
+    if let Some((at, bulk)) = msg.encode_gather(out) {
+        let tail = out.len() - at;
+        out.extend_from_slice(bulk);
+        out[at..].rotate_left(tail);
+    }
 }
 
 /// A message that can cross the TCP fabric: symmetric encode/decode with
@@ -245,6 +266,18 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 pub trait Wire: Sized {
     /// Append this message's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
+
+    /// Append this message's encoding to `out`, leaving out the bytes
+    /// of one bulk byte-array field (its length prefix is written). On
+    /// `Some((at, bulk))` the encoding is `out[..at] ++ bulk ++
+    /// out[at..]`, so a writer can send the bulk bytes from where they
+    /// already live instead of copying them into `out`. Messages
+    /// without a bulk field keep this default: everything in `out`,
+    /// `None` returned.
+    fn encode_gather(&self, out: &mut Vec<u8>) -> Option<(usize, &[u8])> {
+        self.encode(out);
+        None
+    }
 
     /// Decode one message from the reader (may leave bytes behind —
     /// use [`decode_all`](Self::decode_all) at frame boundaries).

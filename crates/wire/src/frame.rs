@@ -21,10 +21,11 @@
 //! `node: u32 BE`. A magic or version mismatch is a typed
 //! [`HandshakeError`]; the connection never proceeds to frames.
 
-use crate::codec::CodecError;
+use crate::codec::{CodecError, Wire};
 use ftc_hashring::NodeId;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
+use std::iter;
 use std::sync::Arc;
 
 /// Handshake magic: identifies an FT-Cache wire peer.
@@ -214,9 +215,11 @@ pub fn read_frame(r: &mut impl Read, cap: u32) -> Result<Frame, FrameError> {
 /// [`read_frame`], but the body lands directly in a shared allocation so
 /// downstream decode can expose value fields as zero-copy views — the
 /// body is never re-copied between the socket and the cache/client.
+/// The body costs one heap allocation: an exact-length iterator
+/// collects straight into the `Arc`, with no staging `Vec`.
 pub fn read_frame_shared(r: &mut impl Read, cap: u32) -> Result<SharedFrame, FrameError> {
     let (kind, id, body_len) = read_frame_header(r, cap)?;
-    let mut body: Arc<[u8]> = vec![0u8; body_len].into();
+    let mut body: Arc<[u8]> = iter::repeat_n(0u8, body_len).collect();
     if body_len > 0 {
         // A fresh Arc is unique, so get_mut always succeeds; the guard
         // exists only to avoid an unwrap on the hot path.
@@ -231,16 +234,15 @@ pub fn read_frame_shared(r: &mut impl Read, cap: u32) -> Result<SharedFrame, Fra
     Ok(SharedFrame { kind, id, body })
 }
 
-/// Write one frame and flush. Refuses to emit a frame over `cap` — the
-/// peer would tear the connection down on receipt anyway.
-pub fn write_frame(
-    w: &mut impl Write,
+/// The `len` + kind + id prefix of a frame whose body is `body_len`
+/// bytes, or [`FrameError::Oversized`] when it would exceed `cap`.
+fn frame_head(
     kind: FrameKind,
     id: u64,
-    body: &[u8],
+    body_len: usize,
     cap: u32,
-) -> Result<(), FrameError> {
-    let len = (HEADER_TAIL + body.len()) as u64;
+) -> Result<[u8; 4 + HEADER_TAIL], FrameError> {
+    let len = (HEADER_TAIL + body_len) as u64;
     if len > u64::from(cap) {
         return Err(FrameError::Oversized {
             declared: len.min(u64::from(u32::MAX)) as u32,
@@ -251,8 +253,64 @@ pub fn write_frame(
     head[..4].copy_from_slice(&(len as u32).to_be_bytes());
     head[4] = kind as u8;
     head[5..].copy_from_slice(&id.to_be_bytes());
-    w.write_all(&head)?;
-    w.write_all(body)?;
+    Ok(head)
+}
+
+/// `write_all` over several buffers: one `write_vectored` per syscall,
+/// resuming mid-buffer after a short write.
+fn write_all_gathered(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero)),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Write one frame and flush. Refuses to emit a frame over `cap` — the
+/// peer would tear the connection down on receipt anyway.
+pub fn write_frame(
+    w: &mut impl Write,
+    kind: FrameKind,
+    id: u64,
+    body: &[u8],
+    cap: u32,
+) -> Result<(), FrameError> {
+    let head = frame_head(kind, id, body.len(), cap)?;
+    write_all_gathered(w, &mut [IoSlice::new(&head), IoSlice::new(body)])?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Write one frame whose body is `msg`'s encoding, and flush. The bytes
+/// on the wire are exactly [`write_frame`] over `msg.encode_vec()`, but
+/// the bulk field named by [`Wire::encode_gather`] goes to the socket
+/// from the message's own buffer: only the small fields pass through
+/// `scratch` (cleared first, reused across frames), so a value is never
+/// copied in user space on its way out.
+pub fn write_msg_frame<M: Wire>(
+    w: &mut impl Write,
+    kind: FrameKind,
+    id: u64,
+    msg: &M,
+    scratch: &mut Vec<u8>,
+    cap: u32,
+) -> Result<(), FrameError> {
+    scratch.clear();
+    let (at, bulk) = msg.encode_gather(scratch).unwrap_or((scratch.len(), &[]));
+    let head = frame_head(kind, id, scratch.len() + bulk.len(), cap)?;
+    write_all_gathered(
+        w,
+        &mut [
+            IoSlice::new(&head),
+            IoSlice::new(&scratch[..at]),
+            IoSlice::new(bulk),
+            IoSlice::new(&scratch[at..]),
+        ],
+    )?;
     w.flush()?;
     Ok(())
 }

@@ -37,8 +37,8 @@
 
 use crate::codec::Wire;
 use crate::frame::{
-    read_frame, read_frame_shared, read_hello, send_hello, write_frame, FrameError, FrameKind,
-    Hello, SharedFrame, DEFAULT_MAX_FRAME,
+    read_frame, read_frame_shared, read_hello, send_hello, write_frame, write_msg_frame,
+    FrameError, FrameKind, HandshakeError, Hello, SharedFrame, DEFAULT_MAX_FRAME,
 };
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Caller, Inbound, Listener, Transport};
@@ -62,7 +62,8 @@ pub const ANON_NODE: NodeId = NodeId(u32::MAX);
 /// Tunables for the TCP backend.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Dial + handshake deadline.
+    /// Cap on the dial and on the handshake read; a call's own deadline
+    /// cuts either shorter.
     pub connect_timeout: Duration,
     /// Socket read/write poll granularity: how often blocked I/O wakes
     /// to check stop/dead flags, and the cap on one write's stall.
@@ -213,9 +214,10 @@ impl Read for PatientReader<'_> {
 struct ConnWriter {
     stream: Mutex<TcpStream>,
     max_frame: u32,
-    /// Reusable encode buffer for [`ConnWriter::write_msg`]: one
-    /// allocation per connection instead of one per frame on the reply
-    /// path. Grows to the largest message seen and stays there.
+    /// Reusable encode buffer for [`ConnWriter::write_msg`]. It holds a
+    /// message's small fields only — the bulk value is gathered into
+    /// the socket write from its own buffer — so it stays a few dozen
+    /// bytes, not the largest value seen.
     scratch: Mutex<Vec<u8>>,
 }
 
@@ -233,14 +235,13 @@ impl ConnWriter {
         write_frame(&mut *s, kind, id, body, self.max_frame)
     }
 
-    /// Encode `msg` into the connection's scratch buffer and write the
-    /// frame — no per-frame body allocation.
+    /// Write `msg` as one frame, gathered: small fields from the
+    /// scratch buffer, the value straight from its own allocation — no
+    /// per-frame allocation and no copy of the value.
     fn write_msg<M: Wire>(&self, kind: FrameKind, id: u64, msg: &M) -> Result<(), FrameError> {
         let mut buf = self.scratch.lock();
-        buf.clear();
-        msg.encode(&mut buf);
         let mut s = self.stream.lock();
-        write_frame(&mut *s, kind, id, &buf, self.max_frame)
+        write_msg_frame(&mut *s, kind, id, msg, &mut buf, self.max_frame)
     }
 }
 
@@ -251,25 +252,38 @@ fn io_to_rpc(e: &io::Error, to: NodeId) -> RpcError {
     }
 }
 
+/// A handshake that ran out of time is a timeout like any other; a
+/// peer that answered with the wrong magic or version is unreachable.
+fn handshake_to_rpc(e: &HandshakeError, to: NodeId) -> RpcError {
+    match e {
+        HandshakeError::Io(e) => io_to_rpc(e, to),
+        HandshakeError::BadMagic(_) | HandshakeError::BadVersion { .. } => {
+            RpcError::Disconnected(to)
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Bounded outbound queue (client side backpressure).
 // ---------------------------------------------------------------------------
 
-struct OutFrame {
-    kind: FrameKind,
+/// A request waiting for the writer thread, which encodes it straight
+/// into the socket write: a call allocates no body buffer, and a `Put`'s
+/// value is never copied.
+struct OutFrame<Req> {
     id: u64,
-    body: Vec<u8>,
+    req: Req,
 }
 
-struct QueueState {
-    buf: VecDeque<OutFrame>,
+struct QueueState<T> {
+    buf: VecDeque<T>,
     closed: bool,
 }
 
 /// Hand-rolled bounded MPSC: `Condvar` instead of a channel so the push
 /// side can honor the *caller's* deadline rather than a queue-global one.
-struct BoundedQueue {
-    state: StdMutex<QueueState>,
+struct BoundedQueue<T> {
+    state: StdMutex<QueueState<T>>,
     cap: usize,
     space: Condvar,
     items: Condvar,
@@ -282,7 +296,7 @@ enum PushError {
     Closed,
 }
 
-impl BoundedQueue {
+impl<T> BoundedQueue<T> {
     fn new(cap: usize) -> Self {
         BoundedQueue {
             state: StdMutex::new(QueueState {
@@ -301,7 +315,7 @@ impl BoundedQueue {
     /// the transport's clock handle).
     fn push_deadline(
         &self,
-        item: OutFrame,
+        item: T,
         deadline: Instant,
         clock: &ClockHandle,
     ) -> Result<(), PushError> {
@@ -328,7 +342,7 @@ impl BoundedQueue {
     }
 
     /// Dequeue for the writer thread; `None` once closed and drained.
-    fn pop(&self) -> Option<OutFrame> {
+    fn pop(&self) -> Option<T> {
         let mut g = self.state.lock().unwrap_or_else(lock_poisoned);
         loop {
             if let Some(item) = g.buf.pop_front() {
@@ -353,15 +367,15 @@ impl BoundedQueue {
 // Client side: pooled, multiplexed connections.
 // ---------------------------------------------------------------------------
 
-struct PeerConn<Resp> {
+struct PeerConn<Req, Resp> {
     to: NodeId,
     dead: AtomicBool,
-    queue: BoundedQueue,
+    queue: BoundedQueue<OutFrame<Req>>,
     pending: Mutex<HashMap<u64, mpsc::SyncSender<Result<Resp, RpcError>>>>,
     stream: TcpStream,
 }
 
-impl<Resp> PeerConn<Resp> {
+impl<Req, Resp> PeerConn<Req, Resp> {
     fn is_dead(&self) -> bool {
         // ordering: Relaxed - dead is a one-way latch; a stale read only
         // delays reconnect by one call.
@@ -386,12 +400,12 @@ impl<Resp> PeerConn<Resp> {
     }
 }
 
-type Slot<Resp> = Arc<Mutex<Option<Arc<PeerConn<Resp>>>>>;
+type Slot<Req, Resp> = Arc<Mutex<Option<Arc<PeerConn<Req, Resp>>>>>;
 
 struct TcpCaller<Req, Resp> {
     me: NodeId,
     shared: Arc<Shared>,
-    slots: Mutex<HashMap<NodeId, Slot<Resp>>>,
+    slots: Mutex<HashMap<NodeId, Slot<Req, Resp>>>,
     next_id: AtomicU64,
     _marker: PhantomData<fn(Req)>,
 }
@@ -401,25 +415,38 @@ where
     Req: Wire + Send + 'static,
     Resp: Wire + Send + 'static,
 {
-    fn slot(&self, to: NodeId) -> Slot<Resp> {
+    fn slot(&self, to: NodeId) -> Slot<Req, Resp> {
         Arc::clone(self.slots.lock().entry(to).or_default())
     }
 
-    /// Dial + handshake + spawn the reader and writer threads.
-    fn dial(&self, to: NodeId, addr: SocketAddr) -> Result<Arc<PeerConn<Resp>>, RpcError> {
+    /// Dial + handshake + spawn the reader and writer threads. The
+    /// connect and the hello read each wait at most `connect_timeout`
+    /// and never past `deadline`, the call's own: a peer that accepts
+    /// but never answers (a frozen process) costs the caller its TTL,
+    /// not the connect timeout, and surfaces as [`RpcError::Timeout`].
+    fn dial(
+        &self,
+        to: NodeId,
+        addr: SocketAddr,
+        deadline: Instant,
+    ) -> Result<Arc<PeerConn<Req, Resp>>, RpcError> {
         let cfg = &self.shared.cfg;
-        let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)
-            .map_err(|e| io_to_rpc(&e, to))?;
+        let clock = &self.shared.clock;
+        let budget = || match deadline.saturating_duration_since(clock.now()) {
+            left if left.is_zero() => Err(RpcError::Timeout { to }),
+            left => Ok(left.min(cfg.connect_timeout)),
+        };
+        let stream = TcpStream::connect_timeout(&addr, budget()?).map_err(|e| io_to_rpc(&e, to))?;
         stream.set_nodelay(true).map_err(|e| io_to_rpc(&e, to))?;
         stream
-            .set_read_timeout(Some(cfg.connect_timeout))
+            .set_read_timeout(Some(budget()?))
             .map_err(|e| io_to_rpc(&e, to))?;
         stream
             .set_write_timeout(Some(cfg.io_timeout))
             .map_err(|e| io_to_rpc(&e, to))?;
         let mut hs = &stream;
-        send_hello(&mut hs, self.me).map_err(|_| RpcError::Disconnected(to))?;
-        let hello: Hello = read_hello(&mut hs).map_err(|_| RpcError::Disconnected(to))?;
+        send_hello(&mut hs, self.me).map_err(|e| handshake_to_rpc(&e, to))?;
+        let hello: Hello = read_hello(&mut hs).map_err(|e| handshake_to_rpc(&e, to))?;
         if hello.node != to {
             // The peer map pointed at a live FT-Cache node, but the wrong
             // one — treat as unreachable rather than talk to an impostor.
@@ -444,7 +471,7 @@ where
             .name(format!("wire-cli-w-{to}"))
             .spawn(move || {
                 while let Some(f) = wconn.queue.pop() {
-                    if writer.write(f.kind, f.id, &f.body).is_err() {
+                    if writer.write_msg(FrameKind::Request, f.id, &f.req).is_err() {
                         break;
                     }
                 }
@@ -496,7 +523,12 @@ where
         Ok(conn)
     }
 
-    fn conn_for(&self, to: NodeId, addr: SocketAddr) -> Result<Arc<PeerConn<Resp>>, RpcError> {
+    fn conn_for(
+        &self,
+        to: NodeId,
+        addr: SocketAddr,
+        deadline: Instant,
+    ) -> Result<Arc<PeerConn<Req, Resp>>, RpcError> {
         let slot = self.slot(to);
         let mut g = slot.lock();
         if let Some(c) = g.as_ref() {
@@ -504,7 +536,7 @@ where
                 return Ok(Arc::clone(c));
             }
         }
-        let fresh = self.dial(to, addr)?;
+        let fresh = self.dial(to, addr, deadline)?;
         *g = Some(Arc::clone(&fresh));
         Ok(fresh)
     }
@@ -530,7 +562,7 @@ where
             Some(a) => *a,
             None => return Err(RpcError::UnknownNode(to)),
         };
-        let conn = self.conn_for(to, addr)?;
+        let conn = self.conn_for(to, addr, deadline)?;
 
         // ordering: Relaxed - ids only need uniqueness, not ordering.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -543,15 +575,9 @@ where
             return Err(RpcError::Disconnected(to));
         }
 
-        let push = conn.queue.push_deadline(
-            OutFrame {
-                kind: FrameKind::Request,
-                id,
-                body: req.encode_vec(),
-            },
-            deadline,
-            clock,
-        );
+        let push = conn
+            .queue
+            .push_deadline(OutFrame { id, req }, deadline, clock);
         match push {
             Ok(()) => {}
             Err(PushError::Full) => {

@@ -194,3 +194,30 @@ fn obs_scrape_serves_exposition_text() {
     let text = scrape_obs(addrs[0], Duration::from_secs(1)).expect("scrape");
     assert_eq!(text, "ftc_up 1\n");
 }
+
+#[test]
+fn dial_to_a_peer_that_never_says_hello_is_bounded_by_the_call_deadline() {
+    // A raw listener accepts the connection but never sends a hello —
+    // a frozen process whose kernel still completes the TCP handshake.
+    // The dial must give up at the call's 100 ms deadline, well inside
+    // the transport's 1 s connect_timeout, and report a Timeout (a
+    // detector signal), not Disconnected.
+    let raw = TcpListener::bind("127.0.0.1:0").expect("bind :0");
+    let addr = raw.local_addr().expect("local addr");
+    let acceptor = std::thread::spawn(move || raw.accept().map(|(s, _)| s));
+    let cfg = TcpConfig {
+        connect_timeout: Duration::from_secs(1),
+        ..TcpConfig::default()
+    };
+    let t: TcpTransport<Echo, Echo> = TcpTransport::from_peer_list(&[addr], cfg);
+    let caller = t.caller(NodeId(1));
+    let clock = ClockHandle::wall();
+    let t0 = clock.now();
+    let err = caller
+        .call(NodeId(0), Echo("x".into()), Duration::from_millis(100))
+        .unwrap_err();
+    let took = clock.since(t0);
+    assert_eq!(err, RpcError::Timeout { to: NodeId(0) });
+    assert!(took < Duration::from_millis(300), "dial took {took:?}");
+    let _held = acceptor.join().expect("acceptor thread");
+}

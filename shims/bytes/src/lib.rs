@@ -1,7 +1,7 @@
 //! API-compatible subset of the `bytes` crate: an immutable, cheaply
-//! cloneable byte buffer backed by `Arc<[u8]>`. The workspace builds
-//! hermetically (no registry access), so the real crate is replaced by
-//! this shim.
+//! cloneable byte buffer backed by a window into an `Arc<[u8]>`. The
+//! workspace builds hermetically (no registry access), so the real
+//! crate is replaced by this shim.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -16,7 +16,13 @@ pub struct Bytes(Repr);
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    /// `data[off..off + len]`: a window, so a value decoded from the
+    /// middle of a larger buffer is handed on without copying it out.
+    Shared {
+        data: Arc<[u8]>,
+        off: usize,
+        len: usize,
+    },
 }
 
 impl Bytes {
@@ -32,7 +38,7 @@ impl Bytes {
 
     /// Copy `data` into a new shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes(Repr::Shared(Arc::from(data)))
+        Bytes::from_shared(Arc::from(data))
     }
 
     /// Length in bytes.
@@ -52,23 +58,39 @@ impl Bytes {
 
     /// Wrap an already-shared buffer with zero copying.
     pub fn from_shared(data: Arc<[u8]>) -> Self {
-        Bytes(Repr::Shared(data))
+        let len = data.len();
+        Bytes::from_shared_window(data, 0, len)
     }
 
-    /// The shared backing of this buffer. Zero-copy for shared buffers
-    /// (the common case); a `'static` slice pays a one-time copy into a
-    /// fresh allocation.
-    pub fn into_shared(self) -> Arc<[u8]> {
+    /// Wrap `data[off..off + len]` with zero copying; the window keeps
+    /// the whole of `data` alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `off + len` overruns `data`.
+    pub fn from_shared_window(data: Arc<[u8]>, off: usize, len: usize) -> Self {
+        assert!(
+            off.checked_add(len).is_some_and(|end| end <= data.len()),
+            "Bytes window {off}+{len} overruns backing of {}",
+            data.len()
+        );
+        Bytes(Repr::Shared { data, off, len })
+    }
+
+    /// The shared backing of this buffer and the window within it.
+    /// Zero-copy for shared buffers (the common case); a `'static`
+    /// slice pays a one-time copy into a fresh allocation.
+    pub fn into_shared_window(self) -> (Arc<[u8]>, usize, usize) {
         match self.0 {
-            Repr::Static(s) => Arc::from(s),
-            Repr::Shared(a) => a,
+            Repr::Static(s) => (Arc::from(s), 0, s.len()),
+            Repr::Shared { data, off, len } => (data, off, len),
         }
     }
 
     fn as_slice(&self) -> &[u8] {
         match &self.0 {
             Repr::Static(s) => s,
-            Repr::Shared(a) => a,
+            Repr::Shared { data, off, len } => &data[*off..*off + *len],
         }
     }
 }
@@ -100,7 +122,7 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes(Repr::Shared(Arc::from(v)))
+        Bytes::from_shared(Arc::from(v))
     }
 }
 
@@ -205,11 +227,28 @@ mod tests {
     fn shared_round_trip_preserves_the_allocation() {
         let arc: Arc<[u8]> = Arc::from(vec![7u8; 16]);
         let b = Bytes::from_shared(Arc::clone(&arc));
-        let back = b.into_shared();
+        let (back, off, len) = b.into_shared_window();
         assert!(Arc::ptr_eq(&arc, &back), "no copy on the shared path");
-        assert_eq!(&back[..], &[7u8; 16]);
+        assert_eq!((off, len), (0, 16));
         // A static buffer converts by copying once.
-        let s = Bytes::from_static(b"abc").into_shared();
-        assert_eq!(&s[..], b"abc");
+        let (s, off, len) = Bytes::from_static(b"abc").into_shared_window();
+        assert_eq!(&s[off..off + len], b"abc");
+    }
+
+    #[test]
+    fn window_views_part_of_the_backing_without_copying() {
+        let arc: Arc<[u8]> = Arc::from(vec![0u8, 1, 2, 3, 4, 5]);
+        let w = Bytes::from_shared_window(Arc::clone(&arc), 2, 3);
+        assert_eq!(&w[..], &[2, 3, 4]);
+        assert_eq!(w, Bytes::copy_from_slice(&[2, 3, 4]));
+        let (back, off, len) = w.into_shared_window();
+        assert!(Arc::ptr_eq(&arc, &back));
+        assert_eq!((off, len), (2, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns")]
+    fn overrunning_window_panics() {
+        let _ = Bytes::from_shared_window(Arc::from(vec![0u8; 4]), 3, 2);
     }
 }
